@@ -87,13 +87,11 @@ var (
 type Option interface{ apply(*options) }
 
 type options struct {
-	now        func() time.Time
-	eventTTL   time.Duration
-	onFire     func(Fired)
-	interval   bool
-	fullScan   bool
-	stringKeys bool
-	perms      *auth.Store
+	now      func() time.Time
+	eventTTL time.Duration
+	onFire   func(Fired)
+	interval bool
+	perms    *auth.Store
 }
 
 type optionFunc func(*options)
@@ -122,24 +120,6 @@ func WithOnFire(fn func(Fired)) Option {
 // design; results are identical, see the benchmarks).
 func WithIntervalFastPath() Option {
 	return optionFunc(func(o *options) { o.interval = true })
-}
-
-// WithFullScanEngine makes the rule execution module re-evaluate every
-// registered rule on every context change, as the paper's prototype does,
-// instead of the default incremental evaluation that only re-checks rules
-// whose condition dependencies were touched. Mostly useful as an oracle or
-// baseline; results are identical (see the engine's equivalence tests).
-func WithFullScanEngine() Option {
-	return optionFunc(func(o *options) { o.fullScan = true })
-}
-
-// WithStringKeyedEngine makes the rule execution module evaluate on the
-// retained string-keyed path — map-backed context, per-leaf name resolution,
-// string dirty keys — instead of the default symbol-interned hot path.
-// Mostly useful as an oracle or baseline; results are identical (see the
-// engine's interned-equivalence tests).
-func WithStringKeyedEngine() Option {
-	return optionFunc(func(o *options) { o.stringKeys = true })
 }
 
 // WithPermissions installs a privilege store (the paper's future-work
@@ -192,12 +172,6 @@ func NewServer(network *Network, opts ...Option) (*Server, error) {
 	if o.onFire != nil {
 		fn := o.onFire
 		hubOpts = append(hubOpts, fleet.WithOnFire(func(_ string, f Fired) { fn(f) }))
-	}
-	if o.fullScan {
-		hubOpts = append(hubOpts, fleet.WithFullScan())
-	}
-	if o.stringKeys {
-		hubOpts = append(hubOpts, fleet.WithStringKeys())
 	}
 	if o.interval {
 		hubOpts = append(hubOpts, fleet.WithIntervalFeasibility())
@@ -386,8 +360,8 @@ func (s *Server) SymbolStats() SymbolStats {
 // symbol ids orphaned by removed rules are reclaimed and the live ids
 // renumbered densely. The engine also compacts automatically once enough
 // ids are dead; this passthrough mirrors the fleet API's per-home compact
-// endpoint. ok is false when there is nothing to compact (no home yet, or
-// an oracle-mode engine).
+// endpoint. ok is false when there is nothing to compact (no home yet) or
+// rule churn outran the engine's sync.
 func (s *Server) CompactSymbols() (CompactStats, bool) {
 	st, compacted, err := s.hub.CompactHome(localHome)
 	if err != nil {

@@ -23,17 +23,15 @@
 //	                 and with compaction disabled ("nocompact") — the symtab
 //	                 id-space hygiene rows
 //
-// each on the evaluator configurations:
-//
-//	interned    pre-bound conditions + id-indexed context (the default)
-//	stringkeys  the retained string-keyed oracle path
-//	fullscan    the naive re-evaluate-everything oracle (engine_evaluate only)
-//
-// recording ns/op, allocs/op and B/op. The interned rows carry the
-// acceptance targets: 0 allocs/op, flat across rule counts. A fleet section
-// times end-to-end hub ingestion (post → coalesce → evaluate → quiesce) per
-// shard count so the engine-level win is visible through the sharded
-// pipeline too.
+// each recording ns/op, allocs/op and B/op. The evaluation rows run the
+// engine's one evaluator (pre-bound conditions over the id-indexed context)
+// and carry mode "interned"; they hold the acceptance targets: 0 allocs/op,
+// flat across rule counts. The naive reference evaluator the engine's tests
+// check it against is timed by BenchmarkReferenceEvaluate in
+// internal/engine (go test -bench ReferenceEvaluate ./internal/engine/). A
+// fleet section times end-to-end hub ingestion (post → coalesce → evaluate
+// → quiesce) per shard count so the engine-level win is visible through the
+// sharded pipeline too.
 package main
 
 import (
@@ -89,18 +87,8 @@ func main() {
 	d := doc{GeneratedUnix: time.Now().Unix(), Meta: benchwork.NewRunMeta()}
 
 	for _, n := range parseInts(*rulesFlag) {
-		for _, mode := range []string{"interned", "stringkeys", "fullscan"} {
-			r := benchEngine("engine_evaluate", n, mode)
-			d.Engine = append(d.Engine, r)
-			printRow(r)
-		}
-		for _, mode := range []string{"interned", "stringkeys"} {
-			r := benchEngine("presence_eval", n, mode)
-			d.Engine = append(d.Engine, r)
-			printRow(r)
-		}
-		for _, mode := range []string{"interned", "stringkeys"} {
-			r := benchEngine("arbitrate", n, mode)
+		for _, bench := range []string{"engine_evaluate", "presence_eval", "arbitrate"} {
+			r := benchEngine(bench, n)
 			d.Engine = append(d.Engine, r)
 			printRow(r)
 		}
@@ -149,18 +137,11 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-// benchEngine runs one named benchwork workload on one evaluator
-// configuration — the exact timed loop of the root package's benchmarks.
-func benchEngine(bench string, n int, mode string) engineRow {
-	var opts []engine.Option
-	switch mode {
-	case "stringkeys":
-		opts = append(opts, engine.WithStringKeys())
-	case "fullscan":
-		opts = append(opts, engine.WithFullScan())
-	}
+// benchEngine runs one named benchwork workload — the exact timed loop of
+// the root package's benchmarks.
+func benchEngine(bench string, n int) engineRow {
 	res := testing.Benchmark(func(b *testing.B) {
-		w, err := benchwork.NewEngineWorkload(bench, n, opts...)
+		w, err := benchwork.NewEngineWorkload(bench, n)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -172,7 +153,7 @@ func benchEngine(bench string, n int, mode string) engineRow {
 	})
 	return engineRow{
 		Bench:       bench,
-		Mode:        mode,
+		Mode:        "interned",
 		Rules:       n,
 		NsPerOp:     float64(res.T.Nanoseconds()) / float64(res.N),
 		AllocsPerOp: res.AllocsPerOp(),

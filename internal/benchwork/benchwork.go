@@ -6,9 +6,11 @@
 // Three engine workloads reproduce the paper's example-rule shapes:
 //
 //   - RoomTempDB — Example Rule 1: rule 0 reads the unqualified
-//     "temperature" (the string-keyed path resolves it with a suffix scan
-//     over every populated key), every other rule its own room's qualified
-//     temperature; a single-key sensor event touches exactly one rule.
+//     "temperature" (an unbound condition resolves it with a suffix scan
+//     over every populated key; the engine's bound one reads a cached
+//     slot), every other rule its own room's qualified temperature; a
+//     single-key sensor event touches exactly one rule. The engine tests'
+//     BenchmarkReferenceEvaluate runs the reference evaluator on this shape.
 //   - PresenceDB — Example Rules 2/3: quantified presence conditions
 //     (nobody / everyone / someone-at / per-person presence / arrival) over
 //     a populated home; presence churn re-evaluates the quantified rules
@@ -218,8 +220,8 @@ func FiringTempEvents() []map[string]string {
 // ---- Example Rules 2/3: quantified presence workload ----
 
 // PresenceUserCount is how many users PresenceDB registers: large enough
-// that the string-keyed path's per-eval map iteration over every location is
-// visible next to the interned counters.
+// that an unbound quantifier's per-eval map iteration over every location
+// would be visible next to the engine's interned counters.
 const PresenceUserCount = 32
 
 // PresenceUsers returns the registered users: tom, alan, emily plus

@@ -13,10 +13,10 @@ import (
 	"repro/internal/simplex"
 )
 
-// The churn-compaction equivalence suite: an interned engine with an
-// aggressive compaction watermark (plus occasional forced epochs) paired
-// against the string-keyed oracle over one shared rule database. The oracle
-// never touches symbol ids, so it is oblivious to the renumbering; any
+// The churn-compaction equivalence suite: an engine with an aggressive
+// compaction watermark (plus occasional forced epochs) paired against the
+// reference over one shared rule database. The reference never touches
+// symbol ids, so it is oblivious to the renumbering; any
 // id-holding state the remap misses — a bound condition, a readiness bit, a
 // device owner, a dirty id, a priority-rank vector — diverges the fired
 // logs or the owner maps at the next check.
@@ -50,9 +50,9 @@ func churnEvent(seq int, value string) (deviceType, name, location string, vars 
 // (sensor values, presence, arrivals, clock advances, priority edits) on the
 // pair, checking logs and owners after every step.
 func TestCompactionEquivalenceScripted(t *testing.T) {
-	p := newEnginePairOpts(t, []Option{WithCompactFloor(16)}, []Option{WithStringKeys()})
+	p := newEnginePair(t, WithCompactFloor(16))
 	p.tbl.Set(conflict.Order{Device: core.DeviceRef{Name: "stereo"}, Users: []string{"emily", "alan", "tom"}})
-	p.each(func(e *Engine) { e.SetUsers([]string{"tom", "alan", "emily"}) })
+	p.each(func(e evaluator) { e.SetUsers([]string{"tom", "alan", "emily"}) })
 
 	// A stable rule whose readiness the churn must never disturb. The
 	// variable is qualified: an unqualified "temperature" would suffix-
@@ -98,10 +98,10 @@ func TestCompactionEquivalenceScripted(t *testing.T) {
 			p.event(device.TypeThermometer, "thermometer", "living room",
 				map[string]string{"temperature": fmt.Sprintf("%d", 20+seq%15)})
 		default:
-			p.each(func(e *Engine) { e.Tick() })
+			p.each(func(e evaluator) { e.Tick() })
 		}
 		if seq%37 == 36 {
-			// Forced epoch at a quiet point: both engines just evaluated, so
+			// Forced epoch at a quiet point: both evaluators just ran a pass, so
 			// the extra pass inside CompactSymbols fires nothing.
 			if _, ok := p.inc.CompactSymbols(); !ok {
 				t.Fatalf("seq %d: forced compaction refused", seq)
@@ -137,7 +137,7 @@ func TestCompactionEquivalenceRandom(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
 			runCompactionChurnScenario(t,
-				newEnginePairOpts(t, []Option{WithCompactFloor(16)}, []Option{WithStringKeys()}), seed)
+				newEnginePair(t, WithCompactFloor(16)), seed)
 		})
 	}
 }
@@ -146,7 +146,7 @@ func runCompactionChurnScenario(t *testing.T, p *enginePair, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	people := []string{"tom", "alan", "emily"}
 	places := []string{"living room", "kitchen", "hall", ""}
-	p.each(func(e *Engine) { e.SetUsers(people) })
+	p.each(func(e evaluator) { e.SetUsers(people) })
 	p.tbl.Set(conflict.Order{Device: core.DeviceRef{Name: "tv"}, Users: []string{"tom", "alan", "emily"}})
 
 	// Contending rules on one device keep arbitration (and the owner-rank
@@ -173,7 +173,7 @@ func runCompactionChurnScenario(t *testing.T, p *enginePair, seed int64) {
 			}
 			pending = append(pending, next)
 			next++
-			p.each(func(e *Engine) { e.Tick() })
+			p.each(func(e evaluator) { e.Tick() })
 		case 2, 3: // remove a random live churn rule
 			if len(pending) == 0 {
 				continue
@@ -183,7 +183,7 @@ func runCompactionChurnScenario(t *testing.T, p *enginePair, seed int64) {
 				t.Fatal(err)
 			}
 			pending = append(pending[:i], pending[i+1:]...)
-			p.each(func(e *Engine) { e.Tick() })
+			p.each(func(e evaluator) { e.Tick() })
 		case 4: // fire a live churn rule's unique variable
 			if len(pending) == 0 {
 				continue
@@ -236,24 +236,6 @@ func TestAutoCompactionWatermark(t *testing.T) {
 	}
 	if st.Symbols > 200 {
 		t.Fatalf("symtab holds %d symbols with 4 live rules; watermark not bounding growth", st.Symbols)
-	}
-}
-
-// TestCompactSymbolsOracleModes: oracle engines refuse compaction (they hold
-// no compactible state or no synced rule state).
-func TestCompactSymbolsOracleModes(t *testing.T) {
-	now := time.Date(2005, 3, 7, 18, 0, 0, 0, time.UTC)
-	for _, tc := range []struct {
-		name string
-		opts []Option
-	}{
-		{"stringkeys", []Option{WithStringKeys()}},
-		{"fullscan", []Option{WithFullScan()}},
-	} {
-		e := New(registry.New(), conflict.NewTable(), func() time.Time { return now }, nil, tc.opts...)
-		if _, ok := e.CompactSymbols(); ok {
-			t.Fatalf("%s: CompactSymbols succeeded on an oracle engine", tc.name)
-		}
 	}
 }
 

@@ -19,22 +19,27 @@ import (
 // arrival expires the stereo returns to Tom — a hand-off driven purely by
 // the priority context, with both rules continuously ready, which an
 // incremental evaluator misses unless it re-arbitrates on order-context
-// changes.
+// changes. The full-scan subtest holds the reference evaluator to the same
+// hard-coded expectations, so the equivalence suites' yardstick is itself
+// pinned to the paper's chart.
 func TestStereoHandoffTomToEmily(t *testing.T) {
 	for _, mode := range []struct {
 		name string
-		opts []Option
+		new  func(*registry.DB, *conflict.Table, func() time.Time, Dispatcher) evaluator
 	}{
-		{"incremental", nil},
-		{"full-scan", []Option{WithFullScan()}},
+		{"incremental", func(db *registry.DB, tbl *conflict.Table, now func() time.Time, d Dispatcher) evaluator {
+			return New(db, tbl, now, d, WithEventTTL(30*time.Minute))
+		}},
+		{"full-scan", func(db *registry.DB, tbl *conflict.Table, now func() time.Time, d Dispatcher) evaluator {
+			return newReference(db, tbl, now, d, 30*time.Minute)
+		}},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			db := registry.New()
 			tbl := conflict.NewTable()
 			rec := &recorder{}
 			clock := &fakeClock{now: time.Date(2005, 3, 7, 18, 0, 0, 0, time.UTC)}
-			opts := append([]Option{WithEventTTL(30 * time.Minute)}, mode.opts...)
-			e := New(db, tbl, clock.Now, rec.dispatch, opts...)
+			e := mode.new(db, tbl, clock.Now, rec.dispatch)
 
 			stereo := core.DeviceRef{Name: "stereo"}
 			if err := db.Add(&core.Rule{

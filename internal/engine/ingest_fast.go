@@ -13,23 +13,13 @@ import (
 // goroutine that owns this engine's symbol table — through byte-keyed twins
 // of the ingest caches. A cache hit costs one map lookup per variable (the
 // allocation-free m[string(b)] form); a miss materializes the strings once
-// and reuses the existing string-keyed cache builders.
+// and reuses the varSig-keyed cache builders.
 //
 // The caller keeps ownership of ev and its slices; the engine retains
 // nothing that aliases them.
 func (e *Engine) IngestEvent(ev *ingest.Event) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.stringKeys {
-		// Oracle mode has no id caches to hit; materialize the map shape the
-		// string path expects.
-		vars := make(map[string]string, len(ev.Vars))
-		for _, v := range ev.Vars {
-			vars[string(v.Key)] = string(v.Value)
-		}
-		e.ingestStringLocked(string(ev.DeviceType), string(ev.Name), string(ev.Location), vars)
-		return
-	}
 	for _, v := range ev.Vars {
 		e.ingestVarBytesLocked(ev.DeviceType, ev.Name, ev.Location, v.Key, v.Value)
 	}
@@ -84,7 +74,7 @@ func (e *Engine) sigBytesLocked(deviceType, friendlyName, location, name []byte)
 }
 
 // varCacheMissLocked materializes a first-sight signature's strings, builds
-// (or reuses) the string-keyed cache entry, and memoizes it under the
+// (or reuses) the varSig-keyed cache entry, and memoizes it under the
 // combined byte key. Runs once per distinct event signature.
 func (e *Engine) varCacheMissLocked(sig, deviceType, friendlyName, location, name []byte) *cachedVar {
 	ssig := varSig{

@@ -15,26 +15,21 @@ import (
 )
 
 // The wire-ingest equivalence suite replays the oracle scenarios with the
-// interned engine fed through the byte path — each stimulus is marshalled to
-// the HTTP event-body shape, run through the wire decoder, and applied with
-// IngestEvent — while the oracle engine takes the same stimulus as a plain
-// map through HandleDeviceEvent. Fired logs and owner maps must stay
-// byte-identical: decoding plus the byte-keyed ingest caches must be
-// invisible next to the string path.
+// engine fed through the byte path — each stimulus is marshalled to the HTTP
+// event-body shape, run through the wire decoder, and applied with
+// IngestEvent — while the reference takes the same stimulus as a plain map.
+// Fired logs and owner maps must stay byte-identical: decoding plus the
+// byte-keyed ingest caches must be invisible next to the map path.
 
-// newWirePair pairs an interned engine fed via the wire decoder against the
-// string-keyed map-path oracle.
+// newWirePair pairs an engine fed via the wire decoder against the
+// reference.
 func newWirePair(t *testing.T) *enginePair {
-	p := newEnginePairOpts(t, nil, []Option{WithStringKeys()})
+	p := newEnginePair(t)
 	ev := ingest.AcquireEvent()
 	t.Cleanup(ev.Release)
-	p.apply = func(e *Engine, deviceType, name, location string, vars map[string]string) {
-		if e != p.inc {
-			e.HandleDeviceEvent(deviceType, name, location, vars)
-			return
-		}
-		e.IngestEvent(decodeWire(t, ev, deviceType, name, location, vars))
-		e.Tick()
+	p.apply = func(deviceType, name, location string, vars map[string]string) {
+		p.inc.IngestEvent(decodeWire(t, ev, deviceType, name, location, vars))
+		p.inc.Tick()
 	}
 	return p
 }
@@ -70,24 +65,6 @@ func TestWireIngestEquivalenceRandom(t *testing.T) {
 
 func TestWireIngestEquivalenceRuleChurn(t *testing.T) {
 	runChurnScenario(t, newWirePair(t))
-}
-
-// TestWireIngestStringKeysFallback pins the oracle-mode fallback: a
-// string-keyed engine fed through IngestEvent materializes the map shape and
-// must agree with one fed the map directly.
-func TestWireIngestStringKeysFallback(t *testing.T) {
-	p := newEnginePairOpts(t, []Option{WithStringKeys()}, []Option{WithStringKeys()})
-	ev := ingest.AcquireEvent()
-	t.Cleanup(ev.Release)
-	p.apply = func(e *Engine, deviceType, name, location string, vars map[string]string) {
-		if e != p.inc {
-			e.HandleDeviceEvent(deviceType, name, location, vars)
-			return
-		}
-		e.IngestEvent(decodeWire(t, ev, deviceType, name, location, vars))
-		e.Tick()
-	}
-	runScriptedScenario(t, p)
 }
 
 // TestWireIngestCompactionInvalidatesByteCaches pins the lifecycle hazard:

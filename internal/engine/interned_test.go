@@ -12,26 +12,27 @@ import (
 	"repro/internal/simplex"
 )
 
-// The interned equivalence suite replays the oracle scenarios with the
-// symbol-interned hot path (the default) paired against the retained
-// string-keyed path (WithStringKeys): pre-bound condition trees, the
-// id-indexed context store and the bitset dirty plumbing must produce
-// byte-identical fired logs and owner maps. A second pairing against the
-// string-keyed full scan closes the matrix: every evaluator configuration
-// agrees with every other.
+// The interned equivalence suites replay the oracle scenarios against the
+// same string-keyed reference, with the engine's interned state stressed
+// two more ways: run the way a fleet home runs it (newHubPair: batch
+// dispatch, metrics, trace ring, Ingest then Tick), and with every symbol id
+// renumbered by a compaction epoch between any two steps (newEpochPair).
+// Pre-bound condition trees, the id-indexed context store and the bitset
+// dirty plumbing must leave the fired logs and owner maps byte-identical to
+// the reference either way.
 
 func TestInternedEquivalenceScripted(t *testing.T) {
-	runScriptedScenario(t, newEnginePairOpts(t, nil, []Option{WithStringKeys()}))
+	runScriptedScenario(t, newHubPair(t))
 }
 
 func TestInternedEquivalenceScriptedVsStringFullScan(t *testing.T) {
-	runScriptedScenario(t, newEnginePairOpts(t, nil, []Option{WithStringKeys(), WithFullScan()}))
+	runScriptedScenario(t, newEpochPair(t))
 }
 
 func TestInternedEquivalenceRandom(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
-			runRandomScenario(t, newEnginePairOpts(t, nil, []Option{WithStringKeys()}), seed)
+			runRandomScenario(t, newHubPair(t), seed)
 		})
 	}
 }
@@ -39,24 +40,24 @@ func TestInternedEquivalenceRandom(t *testing.T) {
 func TestInternedEquivalenceRandomVsStringFullScan(t *testing.T) {
 	for seed := int64(5); seed <= 6; seed++ {
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
-			runRandomScenario(t, newEnginePairOpts(t, nil, []Option{WithStringKeys(), WithFullScan()}), seed)
+			runRandomScenario(t, newEpochPair(t), seed)
 		})
 	}
 }
 
 func TestInternedEquivalenceRuleChurn(t *testing.T) {
-	runChurnScenario(t, newEnginePairOpts(t, nil, []Option{WithStringKeys()}))
+	runChurnScenario(t, newHubPair(t))
 }
 
 // TestInternedSuffixInvalidationMidStream pins the resolution-generation
 // semantics end to end: a rule reading the unqualified "temperature" must
 // re-resolve when a qualified key the engine has never seen is interned
 // mid-stream — including one that sorts before the current winner and an
-// exact unqualified key that overrides every suffix match. The string-keyed
-// oracle recomputes the suffix scan on every evaluation, so any stale cache
-// on the interned side diverges the fired logs.
+// exact unqualified key that overrides every suffix match. The reference
+// recomputes the suffix scan on every evaluation, so any stale cache on the
+// interned side diverges the fired logs.
 func TestInternedSuffixInvalidationMidStream(t *testing.T) {
-	p := newEnginePairOpts(t, nil, []Option{WithStringKeys()})
+	p := newEnginePair(t)
 	if err := p.db.Add(&core.Rule{
 		ID: "hot", Owner: "tom", Device: core.DeviceRef{Name: "fan"},
 		Action: core.Action{Verb: "turn-on"},
@@ -144,13 +145,16 @@ func TestInternedSteadyStateZeroAlloc(t *testing.T) {
 // TestMalformedPresenceVarIgnored: a bare "presence-" variable (empty user
 // name) is rejected identically on every path — recording it would count a
 // phantom "" user in the presence quantifiers and diverge the fired logs.
+// "vs-fullscan" drives the engine directly, "vs-stringkeys" through the
+// fleet home's coalescing configuration; both check it against the
+// reference.
 func TestMalformedPresenceVarIgnored(t *testing.T) {
-	for name, oracleOpts := range map[string][]Option{
-		"vs-stringkeys": {WithStringKeys()},
-		"vs-fullscan":   {WithFullScan()},
+	for name, newPair := range map[string]func(*testing.T) *enginePair{
+		"vs-stringkeys": newHubPair,
+		"vs-fullscan":   func(t *testing.T) *enginePair { return newEnginePair(t) },
 	} {
 		t.Run(name, func(t *testing.T) {
-			p := newEnginePairOpts(t, nil, oracleOpts)
+			p := newPair(t)
 			if err := p.db.Add(&core.Rule{
 				ID: "off", Owner: "tom", Device: core.DeviceRef{Name: "fluorescent light"},
 				Action: core.Action{Verb: "turn-off"},
@@ -158,7 +162,7 @@ func TestMalformedPresenceVarIgnored(t *testing.T) {
 			}); err != nil {
 				t.Fatal(err)
 			}
-			p.each(func(e *Engine) { e.SetUsers([]string{"tom"}) })
+			p.each(func(e evaluator) { e.SetUsers([]string{"tom"}) })
 			// The malformed variable must not register a phantom presence:
 			// nobody-at-home still holds and both logs stay identical (the
 			// pair's check asserts that after every stimulus).

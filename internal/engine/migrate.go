@@ -16,7 +16,7 @@ import (
 //
 // The correctness argument is that arbitration is memoryless: a device's
 // owner is a pure function of the current context, the registered rules and
-// the priority table (internedPassLocked recomputes readiness from
+// the priority table (passLocked recomputes readiness from
 // ReadyBound and the owner from ArbitrateWinner every time the device is
 // touched). So a target that (a) replays the durable records, (b) restores
 // the volatile context with its original timestamps, and (c) runs one full

@@ -11,35 +11,36 @@ import (
 	"repro/internal/conflict"
 	"repro/internal/core"
 	"repro/internal/device"
+	"repro/internal/obs"
 	"repro/internal/registry"
 	"repro/internal/simplex"
 )
 
-// enginePair runs two engine configurations over one shared rule database
-// and priority table; every stimulus is applied to both so their fired logs
-// and owner maps must stay identical. The default pairing is the interned
-// incremental evaluator against the full-scan oracle; the interned
-// equivalence suite pairs it against the string-keyed oracle instead.
+// enginePair runs the engine and the reference evaluator over one shared
+// rule database, priority table and clock; every stimulus is applied to both,
+// so their fired logs and owner maps must stay identical.
 type enginePair struct {
 	t     *testing.T
 	db    *registry.DB
 	tbl   *conflict.Table
 	clock *fakeClock
 	inc   *Engine
-	full  *Engine
+	ref   *reference
 	step  int
 
-	// apply overrides how an event stimulus reaches an engine (nil =
-	// HandleDeviceEvent); the wire-ingest suite routes p.inc through the
-	// byte-path decoder while the oracle keeps the map path.
-	apply func(e *Engine, deviceType, name, location string, vars map[string]string)
+	// apply overrides how an event stimulus reaches the engine (nil =
+	// HandleDeviceEvent); the reference always takes the map path.
+	apply func(deviceType, name, location string, vars map[string]string)
+	// epochs forces a symbol-compaction epoch on the engine after every
+	// stimulus, before the check; pads counts the pad rules (newEpochPair)
+	// not yet removed.
+	epochs bool
+	pads   int
 }
 
-func newEnginePair(t *testing.T) *enginePair {
-	return newEnginePairOpts(t, nil, []Option{WithFullScan()})
-}
-
-func newEnginePairOpts(t *testing.T, incOpts, oracleOpts []Option) *enginePair {
+// newEnginePair pairs an engine built with opts against the reference, both
+// driven through the direct calls (HandleDeviceEvent, Tick, SetUsers, ...).
+func newEnginePair(t *testing.T, opts ...Option) *enginePair {
 	t.Helper()
 	p := &enginePair{
 		t:     t,
@@ -48,23 +49,80 @@ func newEnginePairOpts(t *testing.T, incOpts, oracleOpts []Option) *enginePair {
 		clock: &fakeClock{now: time.Date(2005, 3, 7, 8, 0, 0, 0, time.UTC)},
 	}
 	p.inc = New(p.db, p.tbl, p.clock.Now, nil,
-		append([]Option{WithEventTTL(30 * time.Minute)}, incOpts...)...)
-	p.full = New(p.db, p.tbl, p.clock.Now, nil,
-		append([]Option{WithEventTTL(30 * time.Minute)}, oracleOpts...)...)
+		append([]Option{WithEventTTL(30 * time.Minute)}, opts...)...)
+	p.ref = newReference(p.db, p.tbl, p.clock.Now, nil, 30*time.Minute)
 	return p
 }
 
-func (p *enginePair) each(fn func(e *Engine)) {
+// newHubPair pairs the reference with an engine configured and fed the way
+// a fleet home runs it: a batch dispatcher, a metrics block and a trace
+// ring, with each event applied through Ingest and evaluated by a separate
+// Tick (the hub's coalescing entry).
+func newHubPair(t *testing.T) *enginePair {
+	p := newEnginePair(t,
+		WithBatchDispatcher(func([]Fired) {}),
+		WithMetrics(&obs.New(1).Shard(0).Engine),
+		WithTrace(16))
+	p.apply = func(deviceType, name, location string, vars map[string]string) {
+		p.inc.Ingest(deviceType, name, location, vars)
+		p.inc.Tick()
+	}
+	return p
+}
+
+// epochPads is how many pad rules newEpochPair registers: more than the
+// longest scenario has stimuli.
+const epochPads = 512
+
+// newEpochPair pairs the reference with an engine that renumbers its
+// symbols in a forced compaction epoch after every stimulus. Before the
+// scenario registers anything, the pair registers a stack of pad rules that
+// never become ready, so their symbols hold the lowest ids; each epoch first
+// removes one pad, whose ids then die below every live symbol, so the epoch
+// moves every id the engine holds.
+func newEpochPair(t *testing.T) *enginePair {
+	p := newEnginePair(t)
+	p.epochs = true
+	for i := range epochPads {
+		if err := p.db.Add(&core.Rule{
+			ID: fmt.Sprintf("epoch-pad-%d", i), Owner: "epoch-pad",
+			Device: core.DeviceRef{Name: fmt.Sprintf("epoch-pad-dev-%d", i)},
+			Action: core.Action{Verb: "turn-on"},
+			Cond:   &core.Compare{Var: fmt.Sprintf("epoch-pad-%d/level", i), Op: simplex.GT, Value: 0},
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p.pads = epochPads
+	return p
+}
+
+func (p *enginePair) each(fn func(e evaluator)) {
 	p.step++
 	fn(p.inc)
-	fn(p.full)
+	fn(p.ref)
+	if p.epochs {
+		if p.pads > 0 {
+			p.pads--
+			if err := p.db.Remove(fmt.Sprintf("epoch-pad-%d", epochPads-1-p.pads)); err != nil {
+				p.t.Fatal(err)
+			}
+		}
+		before := p.inc.SymbolStats().Epoch
+		if _, ok := p.inc.CompactSymbols(); !ok {
+			p.t.Fatalf("step %d: forced compaction refused", p.step)
+		}
+		if p.inc.SymbolStats().Epoch == before {
+			p.t.Fatalf("step %d: no compaction epoch ran", p.step)
+		}
+	}
 	p.check()
 }
 
 func (p *enginePair) event(deviceType, name, location string, vars map[string]string) {
-	p.each(func(e *Engine) {
-		if p.apply != nil {
-			p.apply(e, deviceType, name, location, vars)
+	p.each(func(e evaluator) {
+		if e == evaluator(p.inc) && p.apply != nil {
+			p.apply(deviceType, name, location, vars)
 			return
 		}
 		e.HandleDeviceEvent(deviceType, name, location, vars)
@@ -73,7 +131,7 @@ func (p *enginePair) event(deviceType, name, location string, vars map[string]st
 
 func (p *enginePair) advance(d time.Duration) {
 	p.clock.advance(d)
-	p.each(func(e *Engine) { e.Tick() })
+	p.each(func(e evaluator) { e.Tick() })
 }
 
 func renderLog(log []Fired) []string {
@@ -89,22 +147,24 @@ func renderLog(log []Fired) []string {
 	return out
 }
 
-// check asserts both engines agree on the fired log and the owners map.
+// check asserts the engine and the reference agree on the fired log and
+// the owners map.
 func (p *enginePair) check() {
 	p.t.Helper()
-	gotInc, gotFull := renderLog(p.inc.Log()), renderLog(p.full.Log())
-	if !reflect.DeepEqual(gotInc, gotFull) {
-		p.t.Fatalf("step %d: fired logs diverge\nincremental: %v\nfull scan:   %v",
-			p.step, gotInc, gotFull)
+	gotInc, gotRef := renderLog(p.inc.Log()), renderLog(p.ref.Log())
+	if !reflect.DeepEqual(gotInc, gotRef) {
+		p.t.Fatalf("step %d: fired logs diverge\nengine:    %v\nreference: %v",
+			p.step, gotInc, gotRef)
 	}
-	if inc, full := p.inc.Owners(), p.full.Owners(); !reflect.DeepEqual(inc, full) {
-		p.t.Fatalf("step %d: owners diverge\nincremental: %v\nfull scan:   %v", p.step, inc, full)
+	if inc, ref := p.inc.Owners(), p.ref.Owners(); !reflect.DeepEqual(inc, ref) {
+		p.t.Fatalf("step %d: owners diverge\nengine:    %v\nreference: %v", p.step, inc, ref)
 	}
 }
 
 // TestOracleEquivalenceScripted replays the paper's scenarios — threshold
 // rules, presence, arrivals with TTL, time windows, duration holds, on-air
-// matching and contextual priority hand-offs — on both evaluators.
+// matching and contextual priority hand-offs — on the engine (direct calls)
+// and the reference.
 func TestOracleEquivalenceScripted(t *testing.T) {
 	runScriptedScenario(t, newEnginePair(t))
 }
@@ -158,8 +218,8 @@ func runScriptedScenario(t *testing.T, p *enginePair) {
 		ContextSource: "emily got home from shopping",
 		Users:         []string{"emily", "alan", "tom"},
 	})
-	p.each(func(e *Engine) { e.SetUsers([]string{"tom", "alan", "emily"}) })
-	p.each(func(e *Engine) { e.SetFavorites("emily", []string{"roman holiday"}) })
+	p.each(func(e evaluator) { e.SetUsers([]string{"tom", "alan", "emily"}) })
+	p.each(func(e evaluator) { e.SetFavorites("emily", []string{"roman holiday"}) })
 
 	game := device.EncodePrograms([]core.Program{{Title: "Tigers vs Giants", Category: "baseball game"}})
 	gameAndMovie := device.EncodePrograms([]core.Program{
@@ -270,7 +330,7 @@ func runRandomScenario(t *testing.T, p *enginePair, seed int64) {
 		ContextSource: "emily got home from shopping",
 		Users:         []string{"emily", "tom", "alan"},
 	})
-	p.each(func(e *Engine) { e.SetUsers(people) })
+	p.each(func(e evaluator) { e.SetUsers(people) })
 
 	for step := 0; step < 400; step++ {
 		switch rng.Intn(10) {
@@ -301,7 +361,7 @@ func runRandomScenario(t *testing.T, p *enginePair, seed int64) {
 			p.advance(time.Duration(1+rng.Intn(40)) * time.Minute)
 		default:
 			if rng.Intn(4) == 0 {
-				p.each(func(e *Engine) { e.SetFavorites("emily", []string{"roman holiday"}) })
+				p.each(func(e evaluator) { e.SetFavorites("emily", []string{"roman holiday"}) })
 			} else {
 				p.advance(time.Duration(rng.Intn(90)) * time.Second)
 			}
@@ -314,7 +374,7 @@ func runRandomScenario(t *testing.T, p *enginePair, seed int64) {
 
 // TestOracleEquivalenceRuleChurn adds and removes rules mid-stream: the
 // incremental engine must pick up additions (evaluate-once semantics for
-// unconditional rules) and drop removed owners exactly like the oracle.
+// unconditional rules) and drop removed owners exactly like the reference.
 func TestOracleEquivalenceRuleChurn(t *testing.T) {
 	runChurnScenario(t, newEnginePair(t))
 }
@@ -338,14 +398,14 @@ func runChurnScenario(t *testing.T, p *enginePair) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	p.each(func(e *Engine) { e.Tick() })
+	p.each(func(e evaluator) { e.Tick() })
 
 	// Removing the TV rule while it owns the device: ownership lapses on
 	// the next pass in both modes.
 	if err := p.db.Remove("a"); err != nil {
 		t.Fatal(err)
 	}
-	p.each(func(e *Engine) { e.Tick() })
+	p.each(func(e evaluator) { e.Tick() })
 	if owners := p.inc.Owners(); owners["tv"] != "" {
 		t.Fatalf("owners = %v, want tv released after rule removal", owners)
 	}
@@ -358,14 +418,14 @@ func runChurnScenario(t *testing.T, p *enginePair) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	p.each(func(e *Engine) { e.Tick() })
+	p.each(func(e evaluator) { e.Tick() })
 	if owners := p.inc.Owners(); owners["tv"] != "c" {
 		t.Fatalf("owners = %v, want tv owned by replacement rule", owners)
 	}
 
 	// Remove and re-register the same ID with a different condition and
 	// device between passes: the engine must evict the stale cached rule
-	// and evaluate the replacement, like the oracle does.
+	// and evaluate the replacement, like the reference does.
 	if err := p.db.Remove("c"); err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +436,7 @@ func runChurnScenario(t *testing.T, p *enginePair) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	p.each(func(e *Engine) { e.Tick() })
+	p.each(func(e evaluator) { e.Tick() })
 	owners := p.inc.Owners()
 	if owners["tv"] != "" || owners["lamp"] != "c" {
 		t.Fatalf("owners = %v, want tv released and lamp owned by re-registered rule", owners)

@@ -17,23 +17,28 @@ import (
 // each other — while sensor events keep flipping rule readiness. The
 // interned arbitration index (owner-rank vectors, bound order contexts,
 // generation-gated device cache) must leave the fired and suppressed logs
-// byte-identical to the map-keyed oracle across every evaluator pairing.
+// byte-identical to the map-keyed reference.
 
+// churnPairs runs a scenario once per engine drive, each against the
+// reference (a string-keyed full scan): "interned-vs-fullscan" drives the
+// engine directly, "interned-vs-stringkeys" the way a fleet home runs it
+// (newHubPair), and "interned-vs-stringfullscan" with a compaction epoch
+// after every stimulus (newEpochPair).
 func churnPairs(t *testing.T, run func(t *testing.T, p *enginePair)) {
 	t.Run("interned-vs-fullscan", func(t *testing.T) {
 		run(t, newEnginePair(t))
 	})
 	t.Run("interned-vs-stringkeys", func(t *testing.T) {
-		run(t, newEnginePairOpts(t, nil, []Option{WithStringKeys()}))
+		run(t, newHubPair(t))
 	})
 	t.Run("interned-vs-stringfullscan", func(t *testing.T) {
-		run(t, newEnginePairOpts(t, nil, []Option{WithStringKeys(), WithFullScan()}))
+		run(t, newEpochPair(t))
 	})
 }
 
 // TestPriorityChurnScripted replays the paper's hand-off scenario with the
 // priority table edited mid-stream: the applicable order must flip winners
-// on the very next pass, identically on every evaluator.
+// on the very next pass, identically under every drive.
 func TestPriorityChurnScripted(t *testing.T) {
 	churnPairs(t, runPriorityChurnScripted)
 }
@@ -58,18 +63,18 @@ func runPriorityChurnScripted(t *testing.T, p *enginePair) {
 			t.Fatal(err)
 		}
 	}
-	p.each(func(e *Engine) { e.SetUsers(owners) })
+	p.each(func(e evaluator) { e.SetUsers(owners) })
 
 	// All three TV rules ready; no order yet → registration order wins.
 	p.event(device.TypeThermometer, "thermometer", "living room", map[string]string{"temperature": "25"})
 
 	// A default order flips the TV to Emily.
 	p.tbl.Set(conflict.Order{Device: core.DeviceRef{Name: "tv"}, Users: []string{"emily", "alan", "tom"}})
-	p.each(func(e *Engine) { e.Tick() })
+	p.each(func(e evaluator) { e.Tick() })
 
 	// Replacing the same slot (device + empty context source) flips it again.
 	p.tbl.Set(conflict.Order{Device: core.DeviceRef{Name: "tv"}, Users: []string{"alan", "tom", "emily"}})
-	p.each(func(e *Engine) { e.Tick() })
+	p.each(func(e evaluator) { e.Tick() })
 
 	// A contextual order applies only while Emily is home from shopping.
 	p.tbl.Set(conflict.Order{
@@ -78,7 +83,7 @@ func runPriorityChurnScripted(t *testing.T, p *enginePair) {
 		ContextSource: "emily got home from shopping",
 		Users:         []string{"emily", "tom", "alan"},
 	})
-	p.each(func(e *Engine) { e.Tick() })
+	p.each(func(e evaluator) { e.Tick() })
 	p.event(device.TypePresenceSensor, "presence sensor", "home",
 		map[string]string{"event": "emily|home-from-shopping|1"})
 	p.advance(45 * time.Minute) // TTL (30 min) lapses → back to the default order
@@ -87,14 +92,14 @@ func runPriorityChurnScripted(t *testing.T, p *enginePair) {
 	p.event(device.TypePresenceSensor, "presence sensor", "home",
 		map[string]string{"presence-tom": "living room", "presence-alan": "living room"})
 	p.tbl.Set(conflict.Order{Device: core.DeviceRef{Name: "stereo"}, Users: []string{"tom", "alan", "emily"}})
-	p.each(func(e *Engine) { e.Tick() })
+	p.each(func(e evaluator) { e.Tick() })
 	p.tbl.Set(conflict.Order{
 		Device:        core.DeviceRef{Name: "stereo"},
 		Context:       &core.Nobody{Place: "bedroom"},
 		ContextSource: "nobody at bedroom",
 		Users:         []string{"alan", "tom", "emily"},
 	})
-	p.each(func(e *Engine) { e.Tick() })
+	p.each(func(e evaluator) { e.Tick() })
 	// Occupying the bedroom flips back to the default order.
 	p.event(device.TypePresenceSensor, "presence sensor", "home", map[string]string{"presence-emily": "bedroom"})
 	// Leaving it flips to the contextual order again.
@@ -108,7 +113,7 @@ func runPriorityChurnScripted(t *testing.T, p *enginePair) {
 		ContextSource: "everyone at living room",
 		Users:         []string{"emily", "alan", "tom"},
 	})
-	p.each(func(e *Engine) { e.Tick() })
+	p.each(func(e evaluator) { e.Tick() })
 	p.event(device.TypePresenceSensor, "presence sensor", "home", map[string]string{"presence-emily": "living room"})
 
 	if len(p.inc.Log()) < 5 {
@@ -117,8 +122,8 @@ func runPriorityChurnScripted(t *testing.T, p *enginePair) {
 }
 
 // TestPriorityChurnRandom drives randomized event streams with priority
-// orders registered, replaced and superseded at random points, across every
-// evaluator pairing.
+// orders registered, replaced and superseded at random points, under every
+// engine drive.
 func TestPriorityChurnRandom(t *testing.T) {
 	churnPairs(t, func(t *testing.T, p *enginePair) {
 		t.Helper()
@@ -166,7 +171,7 @@ func runPriorityChurnRandom(t *testing.T, p *enginePair, seed int64) {
 			t.Fatal(err)
 		}
 	}
-	p.each(func(e *Engine) { e.SetUsers(people[:3]) })
+	p.each(func(e evaluator) { e.SetUsers(people[:3]) })
 
 	for step := 0; step < 300; step++ {
 		switch rng.Intn(10) {
@@ -197,7 +202,7 @@ func runPriorityChurnRandom(t *testing.T, p *enginePair, seed int64) {
 				ContextSource: cc.source,
 				Users:         users[:1+rng.Intn(len(users))],
 			})
-			p.each(func(e *Engine) { e.Tick() })
+			p.each(func(e evaluator) { e.Tick() })
 		}
 	}
 	if len(p.inc.Log()) < 10 {

@@ -204,8 +204,7 @@ func (d *passDec) reason() string {
 
 // TraceSnapshot returns the ring's records, oldest first. It allocates
 // freely (it is a read endpoint, not the firing path) and renders each
-// decision's reason string at snapshot time. Nil when tracing is disabled
-// or the engine runs a string-keyed oracle mode.
+// decision's reason string at snapshot time. Nil when tracing is disabled.
 func (e *Engine) TraceSnapshot() []PassTrace {
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -74,16 +74,6 @@ func TestHubHomeStatsAndCompact(t *testing.T) {
 	}
 }
 
-// TestHubCompactOracleModes: a string-keyed hub reports compacted=false (no
-// ids to compact) rather than an error.
-func TestHubCompactOracleModes(t *testing.T) {
-	h := newTestHub(t, WithShards(1), WithStringKeys())
-	seedHome(t, h, "casa")
-	if _, compacted, err := h.CompactHome("casa"); err != nil || compacted {
-		t.Fatalf("CompactHome on string-keyed hub = %v, %v, want false, nil", compacted, err)
-	}
-}
-
 // TestFleetHTTPStatsAndCompact covers the HTTP surface of the two new
 // endpoints, including 404s for unknown homes.
 func TestFleetHTTPStatsAndCompact(t *testing.T) {

@@ -140,8 +140,6 @@ type config struct {
 	eventTTL        time.Duration
 	logLimit        int
 	traceCap        int
-	fullScan        bool
-	stringKeys      bool
 	intervalFeas    bool
 	dispatch        Dispatcher
 	onFire          OnFire
@@ -193,18 +191,6 @@ func WithLogLimit(n int) HubOption {
 // tracing entirely.
 func WithTraceLimit(n int) HubOption {
 	return optionFunc(func(c *config) { c.traceCap = n })
-}
-
-// WithFullScan puts every home's engine in full-scan (oracle) mode.
-func WithFullScan() HubOption {
-	return optionFunc(func(c *config) { c.fullScan = true })
-}
-
-// WithStringKeys puts every home's engine on the retained string-keyed
-// evaluation path (engine.WithStringKeys) instead of the symbol-interned hot
-// path. Equivalence tests and benchmarks use it as the oracle/baseline.
-func WithStringKeys() HubOption {
-	return optionFunc(func(c *config) { c.stringKeys = true })
 }
 
 // WithIntervalFeasibility switches the consistency/conflict checker to

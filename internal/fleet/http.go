@@ -429,7 +429,8 @@ func (h *HTTPHandler) getHomeStats(w http.ResponseWriter, r *http.Request) {
 }
 
 // compactBody reports one forced symbol-compaction epoch. Compacted is
-// false when the home's engine runs an oracle mode and holds no ids.
+// false when concurrent rule churn outran the engine's sync and no epoch
+// ran.
 type compactBody struct {
 	Compacted bool `json:"compacted"`
 	engine.CompactStats

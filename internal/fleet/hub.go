@@ -880,8 +880,8 @@ func (h *Hub) HomeStats(home string) (HomeStats, error) {
 // CompactHome forces a symbol-compaction epoch on one home's engine,
 // mirroring the store-level Compact endpoint at the id layer. It runs on the
 // home's shard goroutine, serialized with the home's event stream like any
-// other operation. compacted is false when the home's engine runs an oracle
-// mode (string-keyed or full-scan) and holds no compactible ids.
+// other operation. compacted is false when rule churn outran the engine's
+// sync and no epoch ran (see engine.Engine.CompactSymbols).
 func (h *Hub) CompactHome(home string) (st engine.CompactStats, compacted bool, err error) {
 	err = h.do(home, func(hm *Home) error {
 		if hm == nil {

@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -13,6 +14,29 @@ func ruleIDs(rules []*core.Rule) []string {
 		out[i] = r.ID
 	}
 	return out
+}
+
+// byDepKey looks a dependency key up in the interned index (ByDepID) and
+// checks the answer against a recomputation from every registered rule's
+// condition, core.CondDeps(r.Cond).IDsIn(db.Symtab()), in insertion order:
+// the index may neither miss a rule nor keep a removed one.
+func byDepKey(t *testing.T, db *DB, key string) []*core.Rule {
+	t.Helper()
+	id, ok := db.Symtab().Lookup(key)
+	if !ok {
+		return nil // never interned: no rule can depend on it
+	}
+	got := db.ByDepID(id)
+	var want []*core.Rule
+	for _, r := range db.All() {
+		if slices.Contains(core.CondDeps(r.Cond).IDsIn(db.Symtab()), id) {
+			want = append(want, r)
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("ByDepID(%q) = %v, recomputed from conditions %v", key, ruleIDs(got), ruleIDs(want))
+	}
+	return got
 }
 
 func TestByDepIndexMaintenance(t *testing.T) {
@@ -36,14 +60,14 @@ func TestByDepIndexMaintenance(t *testing.T) {
 		}
 	}
 
-	if got := ruleIDs(db.ByDep(core.NumberDepKey("temperature"))); len(got) != 1 || got[0] != "temp" {
-		t.Errorf("ByDep(num/temperature) = %v", got)
+	if got := ruleIDs(byDepKey(t, db, core.NumberDepKey("temperature"))); len(got) != 1 || got[0] != "temp" {
+		t.Errorf("ByDepID(num/temperature) = %v", got)
 	}
-	if got := ruleIDs(db.ByDep(core.LocationDepKey("tom"))); len(got) != 1 || got[0] != "pres" {
-		t.Errorf("ByDep(loc/tom) = %v", got)
+	if got := ruleIDs(byDepKey(t, db, core.LocationDepKey("tom"))); len(got) != 1 || got[0] != "pres" {
+		t.Errorf("ByDepID(loc/tom) = %v", got)
 	}
-	if got := db.ByDep("num/nothing-reads-this"); len(got) != 0 {
-		t.Errorf("ByDep(unused key) = %v", ruleIDs(got))
+	if got := byDepKey(t, db, "num/nothing-reads-this"); len(got) != 0 {
+		t.Errorf("ByDepID(unused key) = %v", ruleIDs(got))
 	}
 	if got := ruleIDs(db.TimeDependent()); len(got) != 1 || got[0] != "pres" {
 		t.Errorf("TimeDependent() = %v", got)
@@ -52,14 +76,14 @@ func TestByDepIndexMaintenance(t *testing.T) {
 	if err := db.Remove("pres"); err != nil {
 		t.Fatal(err)
 	}
-	if got := db.ByDep(core.LocationDepKey("tom")); len(got) != 0 {
-		t.Errorf("ByDep(loc/tom) after remove = %v", ruleIDs(got))
+	if got := byDepKey(t, db, core.LocationDepKey("tom")); len(got) != 0 {
+		t.Errorf("ByDepID(loc/tom) after remove = %v", ruleIDs(got))
 	}
 	if got := db.TimeDependent(); len(got) != 0 {
 		t.Errorf("TimeDependent() after remove = %v", ruleIDs(got))
 	}
-	if got := ruleIDs(db.ByDep(core.NumberDepKey("temperature"))); len(got) != 1 || got[0] != "temp" {
-		t.Errorf("ByDep(num/temperature) after unrelated remove = %v", got)
+	if got := ruleIDs(byDepKey(t, db, core.NumberDepKey("temperature"))); len(got) != 1 || got[0] != "temp" {
+		t.Errorf("ByDepID(num/temperature) after unrelated remove = %v", got)
 	}
 }
 

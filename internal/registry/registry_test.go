@@ -143,16 +143,16 @@ func TestByOwnerAndByDep(t *testing.T) {
 	if got := db.ByOwner("tom"); len(got) != 2 {
 		t.Errorf("tom rules = %d, want 2", len(got))
 	}
-	if got := db.ByDep(core.NumberDepKey("temperature")); len(got) != 2 {
+	if got := byDepKey(t, db, core.NumberDepKey("temperature")); len(got) != 2 {
 		t.Errorf("temperature rules = %d, want 2", len(got))
 	}
-	if got := db.ByDep(core.BoolDepKey("hall/dark")); len(got) != 1 || got[0].ID != "r3" {
+	if got := byDepKey(t, db, core.BoolDepKey("hall/dark")); len(got) != 1 || got[0].ID != "r3" {
 		t.Errorf("hall/dark rules = %v", got)
 	}
 	if err := db.Remove("r1"); err != nil {
 		t.Fatal(err)
 	}
-	if got := db.ByDep(core.NumberDepKey("temperature")); len(got) != 1 {
+	if got := byDepKey(t, db, core.NumberDepKey("temperature")); len(got) != 1 {
 		t.Errorf("temperature rules after removal = %d, want 1", len(got))
 	}
 }
@@ -292,9 +292,9 @@ func TestQuickRandomOps(t *testing.T) {
 }
 
 // TestByDepIDIndex pins the interned dependency index: Add interns and binds
-// (Bound/Holds/DepIDs populated), ByDepID mirrors ByDep, Remove cleans the
-// id-keyed postings, and re-adding a rule rebinds it against this database's
-// symbol table.
+// (Bound/Holds/DepIDs populated), ByDepID matches a recomputation from the
+// rules' conditions, Remove cleans the id-keyed postings, and re-adding a
+// rule rebinds it against this database's symbol table.
 func TestByDepIDIndex(t *testing.T) {
 	db := New()
 	tab := db.Symtab()
@@ -323,10 +323,10 @@ func TestByDepIDIndex(t *testing.T) {
 		if !ok {
 			t.Fatalf("dep key %q not interned", key)
 		}
-		byStr, byID := db.ByDep(key), db.ByDepID(id)
-		if len(byStr) != 1 || len(byID) != 1 || byStr[0] != r || byID[0] != r {
-			t.Fatalf("index mismatch for %q: ByDep=%v ByDepID=%v", key, byStr, byID)
+		if byID := db.ByDepID(id); len(byID) != 1 || byID[0] != r {
+			t.Fatalf("ByDepID(%q) = %v, want [r1]", key, ruleIDs(byID))
 		}
+		byDepKey(t, db, key)
 	}
 	if err := db.Remove("r1"); err != nil {
 		t.Fatal(err)
