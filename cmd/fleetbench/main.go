@@ -9,7 +9,8 @@
 // re-arbitrates and fires — the full hot path. The run ends when every shard
 // has drained (hub.Quiesce), so the rate includes evaluation and dispatch,
 // not just enqueueing. coalesce_factor is events per evaluation pass: > 1
-// means bursts collapsed into shared passes.
+// means bursts collapsed into shared passes. bytes_per_home is the live heap
+// of a home created by one event and holding no rules.
 package main
 
 import (
@@ -33,7 +34,6 @@ import (
 	"repro/internal/device"
 	"repro/internal/fleet"
 	"repro/internal/ring"
-	"repro/internal/vocab"
 )
 
 type shardResult struct {
@@ -54,6 +54,12 @@ type migrationResult struct {
 	GapP99Ms float64 `json:"gap_p99_ms"`
 }
 
+type footprintResult struct {
+	Homes  int     `json:"homes"`
+	Shards int     `json:"shards"`
+	Bytes  float64 `json:"bytes"`
+}
+
 type report struct {
 	Name      string           `json:"name"`
 	Homes     int              `json:"homes"`
@@ -62,6 +68,8 @@ type report struct {
 	MaxProcs  int              `json:"maxprocs"`
 	Results   []shardResult    `json:"results"`
 	Migration *migrationResult `json:"migration,omitempty"`
+	// BytesPerHome is measured first, on a fresh heap.
+	BytesPerHome *footprintResult `json:"bytes_per_home"`
 }
 
 func main() {
@@ -80,6 +88,13 @@ func main() {
 		Producers: *producers,
 		MaxProcs:  runtime.GOMAXPROCS(0),
 	}
+	const footprintHomes, footprintShards = 5000, 2
+	b, err := benchwork.EventHomeBytes(footprintHomes, footprintShards)
+	if err != nil {
+		log.Fatal(err)
+	}
+	rep.BytesPerHome = &footprintResult{Homes: footprintHomes, Shards: footprintShards, Bytes: b}
+	fmt.Printf("footprint  %9.0f bytes per event-created home (%d homes)\n", b, footprintHomes)
 	for _, s := range strings.Split(*shardList, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(s))
 		if err != nil {
@@ -122,11 +137,9 @@ func runMigration(homes, shards int) (migrationResult, error) {
 		return migrationResult{}, err
 	}
 	defer func() { _ = srcHub.Close() }()
-	lex := vocab.Default()
 	dstHub, err := fleet.NewHub(
 		fleet.WithShards(shards),
 		fleet.WithClock(func() time.Time { return benchwork.Epoch }),
-		fleet.WithLexiconFactory(func(string) *vocab.Lexicon { return lex }),
 		fleet.WithLogLimit(64),
 	)
 	if err != nil {

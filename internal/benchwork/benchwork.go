@@ -37,7 +37,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/registry"
 	"repro/internal/simplex"
-	"repro/internal/vocab"
 )
 
 // RunMeta is the run environment block every BENCH_*.json report embeds, so
@@ -485,15 +484,13 @@ func (w *ChurnWorkload) Symbols() int { return w.Engine.SymbolStats().Symbols }
 // FleetRule is the one rule every benchmark home registers.
 const FleetRule = "If temperature is higher than 28 degrees, turn on the air conditioner."
 
-// BuildHub seeds a hub with the standard fleet workload: homes sharing one
-// lexicon (none defines words; a per-home vocab.Default() would dominate
-// setup at 100k homes), each holding one user and one temperature rule.
+// BuildHub seeds a hub with the standard fleet workload: homes built as in
+// production (each lexicon an overlay on the shared default table), each
+// holding one user and one temperature rule.
 func BuildHub(homes, shards int) (*fleet.Hub, []string, error) {
-	lex := vocab.Default()
 	hub, err := fleet.NewHub(
 		fleet.WithShards(shards),
 		fleet.WithClock(func() time.Time { return Epoch }),
-		fleet.WithLexiconFactory(func(string) *vocab.Lexicon { return lex }),
 		fleet.WithLogLimit(64),
 	)
 	if err != nil {
@@ -523,4 +520,44 @@ func FleetEventValue(i uint64, homes int) string {
 		return "20"
 	}
 	return "31"
+}
+
+// EventHomeBytes measures the live heap one event-created home holds. It
+// builds a hub with the production defaults, warms it with one home (so the
+// process-wide one-time costs, such as the shared default lexicon, stay out
+// of the figure), then creates homes by posting each one thermometer event
+// and divides the heap growth across a forced GC by the number of homes.
+func EventHomeBytes(homes, shards int) (float64, error) {
+	hub, err := fleet.NewHub(
+		fleet.WithShards(shards),
+		fleet.WithClock(func() time.Time { return Epoch }),
+	)
+	if err != nil {
+		return 0, err
+	}
+	defer func() { _ = hub.Close() }()
+	post := func(id string) error {
+		return hub.PostEventSync(id, device.TypeThermometer, "thermometer", "living room",
+			map[string]string{"temperature": "20"})
+	}
+	if err := post("warm-up"); err != nil {
+		return 0, err
+	}
+	before := liveHeap()
+	for i := 0; i < homes; i++ {
+		if err := post(fmt.Sprintf("home-%06d", i)); err != nil {
+			return 0, err
+		}
+	}
+	after := liveHeap()
+	runtime.KeepAlive(hub)
+	return (float64(after) - float64(before)) / float64(homes), nil
+}
+
+// liveHeap returns the heap in use after a full collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }

@@ -184,8 +184,8 @@ func (s *IDSet) Has(id uint32) bool {
 }
 
 // IntersectsAny reports whether any of ids is in the set. With ids being a
-// rule's (small, sorted) dependency list this is the branch-cheap
-// replacement for the string-keyed DepSet.Intersects.
+// rule's (small, sorted) dependency list this is the branch-cheap test the
+// engine uses to pick the rules a pass must re-check.
 func (s *IDSet) IntersectsAny(ids []uint32) bool {
 	for _, id := range ids {
 		if s.Has(id) {

@@ -27,18 +27,20 @@ const (
 	traceMaxLosers = 16
 )
 
-// traceRing is the fixed-capacity record ring. Slots are preallocated so the
-// only steady-state growth is each slot's slice capacities during the first
-// cycle through the ring.
+// traceRing is the bounded record ring. It starts with no slots and grows
+// by one slot per record until it holds max, then wraps and reuses the
+// oldest slot in place. An engine that never passes holds no slots, and
+// once the ring has cycled a record allocates nothing.
 type traceRing struct {
 	recs []passRec
+	max  int    // slot cap (WithTrace)
 	next int    // slot the next record claims
 	n    int    // filled slots
 	seq  uint64 // records ever started (monotonic pass trace id)
 }
 
 func newTraceRing(n int) *traceRing {
-	return &traceRing{recs: make([]passRec, n)}
+	return &traceRing{max: n}
 }
 
 // passRec is one captured pass.
@@ -69,9 +71,12 @@ type passLoser struct{ id, owner string }
 // start claims the next slot, truncating its slices in place so their
 // capacity carries over to the new record.
 func (tr *traceRing) start(at time.Time, allDirty bool) *passRec {
+	if len(tr.recs) < tr.max {
+		tr.grow() // while the ring fills, next is the new slot
+	}
 	r := &tr.recs[tr.next]
 	tr.next++
-	if tr.next == len(tr.recs) {
+	if tr.next == tr.max {
 		tr.next = 0
 	}
 	if tr.n < len(tr.recs) {
@@ -86,6 +91,17 @@ func (tr *traceRing) start(at time.Time, allDirty bool) *passRec {
 	r.cands = r.cands[:0]
 	r.decs = r.decs[:0]
 	return r
+}
+
+// grow adds one slot, doubling the backing array when it is full but never
+// past max.
+func (tr *traceRing) grow() {
+	if len(tr.recs) == cap(tr.recs) {
+		recs := make([]passRec, len(tr.recs), min(max(2*len(tr.recs), 1), tr.max))
+		copy(recs, tr.recs)
+		tr.recs = recs
+	}
+	tr.recs = tr.recs[:len(tr.recs)+1]
 }
 
 func (r *passRec) addDirty(name string) {
@@ -211,7 +227,11 @@ func (e *Engine) TraceSnapshot() []PassTrace {
 	if e.tr == nil {
 		return nil
 	}
-	tr := e.tr
+	return e.tr.snapshot()
+}
+
+// snapshot copies the ring's records out, oldest first.
+func (tr *traceRing) snapshot() []PassTrace {
 	out := make([]PassTrace, 0, tr.n)
 	start := tr.next - tr.n
 	if start < 0 {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -301,5 +302,48 @@ func TestTraceSteadyStateZeroAlloc(t *testing.T) {
 	}
 	if len(e.TraceSnapshot()) != ringCap {
 		t.Fatalf("ring not full: %d", len(e.TraceSnapshot()))
+	}
+}
+
+// TestTraceRingGrowthMatchesPreallocated: a ring that grows slot by slot to
+// its cap must snapshot exactly like one built with every slot up front —
+// before it fills, when it is exactly full, and after it has wrapped.
+func TestTraceRingGrowthMatchesPreallocated(t *testing.T) {
+	const ringCap = 5
+	grown := newTraceRing(ringCap)
+	if len(grown.recs) != 0 || cap(grown.recs) != 0 {
+		t.Fatalf("new ring holds %d/%d slots, want none", len(grown.recs), cap(grown.recs))
+	}
+	pre := &traceRing{recs: make([]passRec, ringCap), max: ringCap}
+	at := time.Date(2005, 3, 7, 18, 0, 0, 0, time.UTC)
+	record := func(tr *traceRing, i int) {
+		r := tr.start(at.Add(time.Duration(i)*time.Second), i%3 == 0)
+		for k := 0; k <= i%4; k++ {
+			r.addDirty(fmt.Sprintf("key%d.%d", i, k))
+			r.addCand(fmt.Sprintf("rule%d.%d", i, k))
+		}
+		for k := 0; k < i%3; k++ {
+			d := r.addDec()
+			d.setDevice(core.DeviceRef{Name: fmt.Sprintf("dev%d", k), Location: "hall"})
+			winner := &core.Rule{ID: fmt.Sprintf("w%d", i), Owner: "tom"}
+			d.setOutcome(winner, conflict.Explain{Rank: k - 1, Ordered: k > 0},
+				[]*core.Rule{winner, {ID: fmt.Sprintf("l%d", i), Owner: "alan"}})
+			d.fired = k == 0
+		}
+	}
+	for i := 0; i < 3*ringCap+2; i++ {
+		record(grown, i)
+		record(pre, i)
+		if len(grown.recs) > ringCap || cap(grown.recs) > ringCap {
+			t.Fatalf("record %d: ring grew to %d/%d slots past its cap %d",
+				i, len(grown.recs), cap(grown.recs), ringCap)
+		}
+		if want := min(i+1, ringCap); len(grown.recs) != want {
+			t.Fatalf("record %d: ring holds %d slots, want %d", i, len(grown.recs), want)
+		}
+		g, p := grown.snapshot(), pre.snapshot()
+		if !reflect.DeepEqual(g, p) {
+			t.Fatalf("record %d: grown snapshot differs from preallocated:\n grown %+v\n   pre %+v", i, g, p)
+		}
 	}
 }

@@ -129,8 +129,11 @@ type OnFire func(home string, f engine.Fired)
 type Authorizer func(home, owner string, device core.DeviceRef, verb string) bool
 
 // LexiconFactory builds the lexicon for a new home. The default gives every
-// home its own vocab.Default(); a benchmark over many word-less homes can
-// share one lexicon across all of them instead.
+// home its own vocab.Default(): a private overlay on the process-wide
+// default table, so a home pays only for the persons and words it adds. A
+// caller that must read a home's words from outside the hub (the
+// single-home cadel.Server, whose lookup service shares the lexicon)
+// supplies the lexicon itself.
 type LexiconFactory func(home string) *vocab.Lexicon
 
 type config struct {

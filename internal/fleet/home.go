@@ -34,10 +34,11 @@ type Home struct {
 
 	users     []string
 	favorites map[string][]string
-	// words tracks the definitions THIS home made, in definition order. The
-	// lexicon cannot be consulted for this: with a shared LexiconFactory its
-	// entries span every home, and snapshotting them per home would duplicate
-	// (and then fail to replay) other homes' words.
+	// words tracks the definitions this home made, in definition order, for
+	// snapshots and replay. The lexicon cannot stand in for it: it does not
+	// keep definition order across kinds, and it also holds the home's
+	// persons and whatever a caller-supplied lexicon (LexiconFactory)
+	// carried in.
 	words     []wordDef
 	authorize Authorizer
 	ruleSeq   uint64
@@ -110,8 +111,9 @@ func (h *Home) RegisterUser(name string, favorites ...string) error {
 	if h.isUser(name) {
 		return fmt.Errorf("%w: %q (person)", vocab.ErrDuplicate, name)
 	}
-	// With a shared lexicon (WithLexiconFactory) another home may have added
-	// the person already; per-home duplicates are caught above.
+	// A caller-supplied lexicon (WithLexiconFactory) can outlive this Home —
+	// a home migrated away and back is rebuilt on it — and so may already
+	// hold the person; duplicate users of this home are caught above.
 	if err := h.lex.Add(vocab.Entry{Phrase: name, Kind: vocab.KindPerson}); err != nil && !errors.Is(err, vocab.ErrDuplicate) {
 		return err
 	}

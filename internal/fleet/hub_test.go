@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/engine"
+	"repro/internal/vocab"
 )
 
 var testEpoch = time.Date(2005, 3, 7, 18, 0, 0, 0, time.UTC)
@@ -118,6 +119,51 @@ func TestHubHomesAreIsolated(t *testing.T) {
 	}
 	if len(ids) != len(homes) {
 		t.Fatalf("Homes() = %v", ids)
+	}
+}
+
+// TestHubWordsAreIsolated: every home's lexicon is an overlay on one shared
+// default table, so a word one home defines must stay invisible to another
+// home on the same shard, which can then define the same word differently.
+func TestHubWordsAreIsolated(t *testing.T) {
+	h := newTestHub(t, WithShards(1))
+	for _, home := range []string{"a", "b"} {
+		if err := h.RegisterUser(home, "tom"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := h.Submit("a", "Let's call the condition that temperature is higher than 28 degrees "+
+		"hot and stuffy", "tom"); err != nil {
+		t.Fatal(err)
+	}
+	const useWord = "If hot and stuffy, turn on the air conditioner."
+	if _, err := h.Submit("a", useWord, "tom"); err != nil {
+		t.Fatalf("a: rule using its own word: %v", err)
+	}
+	if _, err := h.Submit("b", useWord, "tom"); err == nil {
+		t.Fatal("b compiled a rule using a word only a defined")
+	}
+	lexicon := func(home string) *vocab.Lexicon {
+		var lex *vocab.Lexicon
+		if err := h.do(home, func(hm *Home) error { lex = hm.Lexicon(); return nil }); err != nil {
+			t.Fatal(err)
+		}
+		return lex
+	}
+	if _, ok := lexicon("b").Lookup(vocab.KindCondWord, "hot and stuffy"); ok {
+		t.Fatal("a's word is visible in b's lexicon")
+	}
+	if _, ok := lexicon("b").Lookup(vocab.KindPerson, "tom"); !ok {
+		t.Fatal("b's own person entry is missing")
+	}
+	if _, err := h.Submit("b", "Let's call the condition that humidity is higher than 65 % "+
+		"hot and stuffy", "tom"); err != nil {
+		t.Fatalf("b: defining the word a also defined: %v", err)
+	}
+	ea, _ := lexicon("a").Lookup(vocab.KindCondWord, "hot and stuffy")
+	eb, _ := lexicon("b").Lookup(vocab.KindCondWord, "hot and stuffy")
+	if ea.MetaValue(vocab.MetaSource) == eb.MetaValue(vocab.MetaSource) {
+		t.Fatalf("homes share one definition: %q", ea.MetaValue(vocab.MetaSource))
 	}
 }
 

@@ -1,12 +1,29 @@
 package vocab
 
-import "strconv"
+import (
+	"strconv"
+	"sync"
+)
 
-// Default builds the English CADEL lexicon with the verbs, states,
-// parameters, units, places and period names used throughout the paper's
-// examples (Sect. 3.1, 4.2 and Fig. 1). Other natural languages can be
-// supported by building a different table, as the paper notes.
+var (
+	baseOnce sync.Once
+	base     *table
+)
+
+// Default returns a lexicon over the English CADEL table: the verbs,
+// states, parameters, units, places and period names used throughout the
+// paper's examples (Sect. 3.1, 4.2 and Fig. 1). The table is built once and
+// shared read-only by every lexicon Default returns; each starts with an
+// empty overlay of its own, so words added to one are invisible to the
+// others. Other natural languages can be supported by building a different
+// table, as the paper notes.
 func Default() *Lexicon {
+	baseOnce.Do(func() { base = &englishTable().own })
+	return &Lexicon{base: base}
+}
+
+// englishTable builds the default entries into a private lexicon.
+func englishTable() *Lexicon {
 	l := New()
 
 	verbs := []struct{ phrase, canon string }{

@@ -8,12 +8,21 @@
 // contexts or device configurations. The lexicon is the shared dictionary
 // that both the parser (phrase recognition) and the lookup service (word →
 // sensor mapping) consult.
+//
+// A lexicon is two layers. The base is the default English table, built once
+// per process and never written again, so every lexicon from Default reads
+// the same copy without locking it. On top sits the lexicon's own overlay:
+// the entries added to it (a home's persons and words) and tombstones for
+// the base entries removed from it. Every read merges the two layers and
+// answers exactly as a private copy of the whole table would, so a home
+// pays only for what it adds.
 package vocab
 
 import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -99,10 +108,6 @@ type Entry struct {
 	Meta   map[string]string `json:"meta,omitempty"`
 }
 
-func (e Entry) tokens() []string {
-	return strings.Fields(e.Phrase)
-}
-
 // MetaValue returns the value for a meta key, empty when absent.
 func (e Entry) MetaValue(key string) string {
 	return e.Meta[key]
@@ -115,25 +120,116 @@ var (
 	ErrEmpty     = errors.New("vocab: empty phrase")
 )
 
-// Lexicon is a concurrency-safe dictionary of phrases. The zero value is not
-// usable; construct with New or Default.
-type Lexicon struct {
-	mu        sync.RWMutex
+// indexed is an entry in the first-word index, with its phrase split into
+// tokens once so matching never splits it again.
+type indexed struct {
+	Entry
+	toks []string
+}
+
+// prefixOf reports whether the entry's phrase equals a prefix of tokens.
+func (x *indexed) prefixOf(tokens []string) bool {
+	if len(x.toks) > len(tokens) {
+		return false
+	}
+	for i, w := range x.toks {
+		if tokens[i] != w {
+			return false
+		}
+	}
+	return true
+}
+
+// table is one layer of a lexicon. Its maps are made on the first add, so
+// an unused overlay costs nothing.
+type table struct {
 	byKind    map[Kind]map[string]Entry
-	firstWord map[string][]Entry // sorted by token count, longest first
+	firstWord map[string][]indexed // longest phrase first; insertion order within a length
+}
+
+func (t *table) lookup(kind Kind, phrase string) (Entry, bool) {
+	e, ok := t.byKind[kind][phrase]
+	return e, ok
+}
+
+// add inserts e, which the caller has checked is not yet present. The
+// index insert keeps each first-word list sorted by token count, longest
+// first, and places e after every entry at least as long — the order a
+// stable sort of the appended list gives.
+func (t *table) add(e Entry) {
+	if t.byKind == nil {
+		t.byKind = make(map[Kind]map[string]Entry)
+		t.firstWord = make(map[string][]indexed)
+	}
+	km := t.byKind[e.Kind]
+	if km == nil {
+		km = make(map[string]Entry)
+		t.byKind[e.Kind] = km
+	}
+	km[e.Phrase] = e
+	x := indexed{Entry: e, toks: strings.Fields(e.Phrase)}
+	head := x.toks[0]
+	list := t.firstWord[head]
+	i := len(list)
+	for i > 0 && len(list[i-1].toks) < len(x.toks) {
+		i--
+	}
+	t.firstWord[head] = slices.Insert(list, i, x)
+}
+
+// remove deletes a present entry.
+func (t *table) remove(kind Kind, phrase string) {
+	delete(t.byKind[kind], phrase)
+	head := strings.Fields(phrase)[0]
+	list := t.firstWord[head]
+	for i := range list {
+		if list[i].Kind == kind && list[i].Phrase == phrase {
+			t.firstWord[head] = slices.Delete(list, i, i+1)
+			return
+		}
+	}
+}
+
+// entryKey names a base entry removed from one lexicon.
+type entryKey struct {
+	kind   Kind
+	phrase string
+}
+
+// Lexicon is a concurrency-safe dictionary of phrases: an optional frozen
+// base table shared with other lexicons, plus this lexicon's own overlay.
+// The zero value is not usable; construct with New or Default.
+type Lexicon struct {
+	mu   sync.RWMutex
+	base *table                // shared and read-only; nil for New
+	own  table                 // entries added to this lexicon
+	dead map[entryKey]struct{} // base entries removed from this lexicon
 }
 
 // New returns an empty lexicon.
 func New() *Lexicon {
-	return &Lexicon{
-		byKind:    make(map[Kind]map[string]Entry),
-		firstWord: make(map[string][]Entry),
-	}
+	return &Lexicon{}
 }
 
 // Normalize lowercases and single-spaces a phrase.
 func Normalize(phrase string) string {
 	return strings.Join(strings.Fields(strings.ToLower(phrase)), " ")
+}
+
+// lookupLocked finds a live entry in either layer. A phrase is live in at
+// most one: Add refuses a duplicate, and a base entry must be removed
+// (tombstoned) before the overlay can take the same phrase.
+func (l *Lexicon) lookupLocked(kind Kind, phrase string) (Entry, bool) {
+	if e, ok := l.own.lookup(kind, phrase); ok {
+		return e, true
+	}
+	if l.base == nil {
+		return Entry{}, false
+	}
+	if _, gone := l.dead[entryKey{kind, phrase}]; gone {
+		return Entry{}, false
+	}
+	return l.base.lookup(kind, phrase)
 }
 
 // Add inserts an entry. It fails with ErrDuplicate if the same phrase is
@@ -148,16 +244,10 @@ func (l *Lexicon) Add(e Entry) error {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	km := l.byKind[e.Kind]
-	if km == nil {
-		km = make(map[string]Entry)
-		l.byKind[e.Kind] = km
-	}
-	if _, ok := km[e.Phrase]; ok {
+	if _, ok := l.lookupLocked(e.Kind, e.Phrase); ok {
 		return fmt.Errorf("%w: %q (%v)", ErrDuplicate, e.Phrase, e.Kind)
 	}
-	km[e.Phrase] = e
-	l.insertFirstWord(e)
+	l.own.add(e)
 	return nil
 }
 
@@ -169,34 +259,23 @@ func (l *Lexicon) MustAdd(e Entry) {
 	}
 }
 
-func (l *Lexicon) insertFirstWord(e Entry) {
-	toks := e.tokens()
-	head := toks[0]
-	list := append(l.firstWord[head], e)
-	sort.SliceStable(list, func(i, j int) bool {
-		return len(list[i].tokens()) > len(list[j].tokens())
-	})
-	l.firstWord[head] = list
-}
-
-// Remove deletes a phrase of the given kind.
+// Remove deletes a phrase of the given kind. A base entry is not touched:
+// this lexicon records a tombstone for it instead.
 func (l *Lexicon) Remove(kind Kind, phrase string) error {
 	phrase = Normalize(phrase)
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	km := l.byKind[kind]
-	if _, ok := km[phrase]; !ok {
+	if _, ok := l.own.lookup(kind, phrase); ok {
+		l.own.remove(kind, phrase)
+		return nil
+	}
+	if _, ok := l.lookupLocked(kind, phrase); !ok {
 		return fmt.Errorf("%w: %q (%v)", ErrNotFound, phrase, kind)
 	}
-	delete(km, phrase)
-	head := strings.Fields(phrase)[0]
-	list := l.firstWord[head]
-	for i, e := range list {
-		if e.Kind == kind && e.Phrase == phrase {
-			l.firstWord[head] = append(list[:i:i], list[i+1:]...)
-			break
-		}
+	if l.dead == nil {
+		l.dead = make(map[entryKey]struct{})
 	}
+	l.dead[entryKey{kind, phrase}] = struct{}{}
 	return nil
 }
 
@@ -205,51 +284,79 @@ func (l *Lexicon) Lookup(kind Kind, phrase string) (Entry, bool) {
 	phrase = Normalize(phrase)
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	e, ok := l.byKind[kind][phrase]
-	return e, ok
+	return l.lookupLocked(kind, phrase)
 }
 
 // MatchLongest finds the longest entry of one of the given kinds whose phrase
 // equals a prefix of tokens. It returns the entry and the number of tokens
-// consumed.
+// consumed. Among matches of equal length the base entry wins, then the
+// earliest added.
 func (l *Lexicon) MatchLongest(tokens []string, kinds ...Kind) (Entry, int, bool) {
 	if len(tokens) == 0 {
 		return Entry{}, 0, false
 	}
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	kindSet := make(map[Kind]bool, len(kinds))
-	for _, k := range kinds {
-		kindSet[k] = true
+	var bl []indexed
+	if l.base != nil {
+		bl = l.base.firstWord[tokens[0]]
 	}
-	for _, e := range l.firstWord[tokens[0]] {
-		if len(kinds) > 0 && !kindSet[e.Kind] {
+	ol := l.own.firstWord[tokens[0]]
+	// Merge the two longest-first lists, base first on ties.
+	for len(bl) > 0 || len(ol) > 0 {
+		var x *indexed
+		fromBase := len(ol) == 0 || (len(bl) > 0 && len(bl[0].toks) >= len(ol[0].toks))
+		if fromBase {
+			x, bl = &bl[0], bl[1:]
+		} else {
+			x, ol = &ol[0], ol[1:]
+		}
+		if !hasKind(kinds, x.Kind) || !x.prefixOf(tokens) {
 			continue
 		}
-		etoks := e.tokens()
-		if len(etoks) > len(tokens) {
-			continue
-		}
-		match := true
-		for i, w := range etoks {
-			if tokens[i] != w {
-				match = false
-				break
+		if fromBase && len(l.dead) > 0 {
+			if _, gone := l.dead[entryKey{x.Kind, x.Phrase}]; gone {
+				continue
 			}
 		}
-		if match {
-			return e, len(etoks), true
-		}
+		return x.Entry, len(x.toks), true
 	}
 	return Entry{}, 0, false
+}
+
+// hasKind reports whether k is in kinds; an empty filter admits every kind.
+func hasKind(kinds []Kind, k Kind) bool {
+	if len(kinds) == 0 {
+		return true
+	}
+	for _, want := range kinds {
+		if want == k {
+			return true
+		}
+	}
+	return false
 }
 
 // Entries returns all entries of a kind, sorted by phrase.
 func (l *Lexicon) Entries(kind Kind) []Entry {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	out := make([]Entry, 0, len(l.byKind[kind]))
-	for _, e := range l.byKind[kind] {
+	return l.entriesLocked(kind)
+}
+
+func (l *Lexicon) entriesLocked(kind Kind) []Entry {
+	var bm map[string]Entry
+	if l.base != nil {
+		bm = l.base.byKind[kind]
+	}
+	om := l.own.byKind[kind]
+	out := make([]Entry, 0, len(bm)+len(om))
+	for p, e := range bm {
+		if _, gone := l.dead[entryKey{kind, p}]; !gone {
+			out = append(out, e)
+		}
+	}
+	for _, e := range om {
 		out = append(out, e)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Phrase < out[j].Phrase })
@@ -280,38 +387,42 @@ type lexiconJSON struct {
 	Entries []Entry `json:"entries"`
 }
 
-// MarshalJSON serializes all entries.
+// MarshalJSON serializes all entries of both layers, ordered by kind and
+// then by phrase.
 func (l *Lexicon) MarshalJSON() ([]byte, error) {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	var doc lexiconJSON
-	kinds := make([]Kind, 0, len(l.byKind))
-	for k := range l.byKind {
-		kinds = append(kinds, k)
+	var kinds []Kind
+	seen := make(map[Kind]bool)
+	for _, t := range []*table{l.base, &l.own} {
+		if t == nil {
+			continue
+		}
+		for k := range t.byKind {
+			if !seen[k] {
+				seen[k] = true
+				kinds = append(kinds, k)
+			}
+		}
 	}
 	sort.Slice(kinds, func(i, j int) bool { return kinds[i] < kinds[j] })
+	var doc lexiconJSON
 	for _, k := range kinds {
-		phrases := make([]string, 0, len(l.byKind[k]))
-		for p := range l.byKind[k] {
-			phrases = append(phrases, p)
-		}
-		sort.Strings(phrases)
-		for _, p := range phrases {
-			doc.Entries = append(doc.Entries, l.byKind[k][p])
-		}
+		doc.Entries = append(doc.Entries, l.entriesLocked(k)...)
 	}
 	return json.Marshal(doc)
 }
 
 // UnmarshalJSON replaces the lexicon content with the serialized entries.
+// The result is a private table holding every entry; it no longer reads
+// the shared base.
 func (l *Lexicon) UnmarshalJSON(data []byte) error {
 	var doc lexiconJSON
 	if err := json.Unmarshal(data, &doc); err != nil {
 		return err
 	}
 	l.mu.Lock()
-	l.byKind = make(map[Kind]map[string]Entry)
-	l.firstWord = make(map[string][]Entry)
+	l.base, l.own, l.dead = nil, table{}, nil
 	l.mu.Unlock()
 	for _, e := range doc.Entries {
 		if err := l.Add(e); err != nil {
